@@ -9,12 +9,18 @@
 //! each shard's reconciliation on its own scoped thread — users are
 //! disjoint across shards, so the outcome stream is **invariant at any
 //! shard count**: per-user outcomes are deterministic and the plane
-//! re-sorts them by owner before anything downstream observes them.
+//! reports them in owner order before anything downstream observes
+//! them.
 //!
 //! Reconciliation itself is the delta fast path of `gupster-sync`
 //! ([`gupster_sync::delta_two_way_sync_traced`]): two hub-centred
 //! rounds relay every device's edits to every other device, then each
 //! replica's change log is **compacted** against its live peer anchors.
+//! A pass costs in proportion to the stars edited: a **settled** star
+//! (converged without error, not edited since) would ship nothing, so
+//! it is skipped; and once compaction empties every log in a star, the
+//! replicas' dedup sets ([`Replica::seen`]) are cleared, since no entry
+//! they could filter remains.
 //! [`SyncPlane::use_oracle`] switches the same plane onto the naive
 //! [`gupster_sync::two_way_sync_traced`] path — the experiment baseline
 //! and the differential-test oracle.
@@ -57,6 +63,10 @@ struct UserReplicas {
     /// Target paths of every edit accepted since the last reconcile,
     /// in arrival order — drained into [`UserOutcome::changed`].
     pending: Vec<NodePath>,
+    /// True when the last pass left every device equal to the hub with
+    /// no session error and no edit has landed since: a pass over the
+    /// star would ship nothing, so [`SyncPlane::reconcile`] skips it.
+    settled: bool,
 }
 
 /// Per-user outcome of one reconcile pass.
@@ -191,7 +201,14 @@ impl SyncPlane {
             .collect();
         self.users.insert(
             owner.to_string(),
-            UserReplicas { owner: owner.to_string(), component, hub, devices, pending: Vec::new() },
+            UserReplicas {
+                owner: owner.to_string(),
+                component,
+                hub,
+                devices,
+                pending: Vec::new(),
+                settled: false,
+            },
         );
     }
 
@@ -206,6 +223,7 @@ impl SyncPlane {
         let target = op.target().clone();
         let seq = u.devices[device].edit(op)?;
         u.pending.push(target);
+        u.settled = false;
         Ok(seq)
     }
 
@@ -216,6 +234,7 @@ impl SyncPlane {
         let target = op.target().clone();
         let seq = u.hub.edit(op)?;
         u.pending.push(target);
+        u.settled = false;
         Ok(seq)
     }
 
@@ -238,35 +257,52 @@ impl SyncPlane {
             .sum()
     }
 
-    /// Runs one reconcile pass: every shard's users in parallel, two
-    /// hub-centred rounds each, then per-replica log compaction (delta
-    /// mode only). The returned report is sorted by owner and is
+    /// Runs one reconcile pass: every shard's unsettled users in
+    /// parallel, two hub-centred rounds each, then per-replica log
+    /// compaction (delta mode only). A settled star (converged, not
+    /// edited since) is skipped and reported with `sessions: 0`,
+    /// `converged: true` and nothing changed, so a pass costs in
+    /// proportion to the users edited, not to the fleet. The returned
+    /// report holds one outcome per user, sorted by owner, and is
     /// byte-identical at any shard count.
     pub fn reconcile(&mut self, telemetry: &Arc<TelemetryHub>) -> PlaneReport {
         let shards = self.shards;
         let policy = self.policy;
         let oracle = self.use_oracle;
-        let mut buckets: Vec<Vec<&mut UserReplicas>> = (0..shards).map(|_| Vec::new()).collect();
-        for u in self.users.values_mut() {
-            let s = (shard_hash(&u.owner) % shards as u64) as usize;
-            buckets[s].push(u);
+        let mut users: Vec<UserOutcome> = Vec::with_capacity(self.users.len());
+        let mut buckets: Vec<Vec<(usize, &mut UserReplicas)>> =
+            (0..shards).map(|_| Vec::new()).collect();
+        // `self.users` iterates in owner order, so outcome slots are
+        // already sorted; workers fill the slots of unsettled users.
+        for (slot, u) in self.users.values_mut().enumerate() {
+            users.push(UserOutcome {
+                owner: u.owner.clone(),
+                converged: true,
+                ..Default::default()
+            });
+            if !u.settled {
+                let s = (shard_hash(&u.owner) % shards as u64) as usize;
+                buckets[s].push((slot, u));
+            }
         }
-        let per_shard: Vec<Vec<UserOutcome>> = std::thread::scope(|scope| {
+        let per_shard: Vec<Vec<(usize, UserOutcome)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()
+                .filter(|bucket| !bucket.is_empty())
                 .map(|bucket| {
                     scope.spawn(move || {
                         bucket
                             .into_iter()
-                            .map(|u| reconcile_user(u, policy, oracle, telemetry))
+                            .map(|(slot, u)| (slot, reconcile_user(u, policy, oracle, telemetry)))
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("sync shard worker panicked")).collect()
         });
-        let mut users: Vec<UserOutcome> = per_shard.into_iter().flatten().collect();
-        users.sort_by(|a, b| a.owner.cmp(&b.owner));
+        for (slot, outcome) in per_shard.into_iter().flatten() {
+            users[slot] = outcome;
+        }
         PlaneReport::from_users(users)
     }
 }
@@ -274,7 +310,7 @@ impl SyncPlane {
 /// Reconciles one user's star: two rounds of hub↔device sessions (the
 /// hub is the *first* replica, so [`ReconcilePolicy::PreferFirst`]
 /// means "the primary copy wins"), then log compaction against live
-/// anchors.
+/// anchors. Marks the star settled when it converged without error.
 fn reconcile_user(
     u: &mut UserReplicas,
     policy: ReconcilePolicy,
@@ -312,6 +348,17 @@ fn reconcile_user(
             outcome.compacted += compact_traced(d, &[anchor], &mut tracer).dropped();
         }
     }
+    // `seen` only filters log entries by identity, and every future
+    // entry carries a fresh (actor, timestamp): once no log in the star
+    // holds an entry, no identity in any `seen` set can matter again.
+    // Clearing them keeps memory flat under an endless edit stream.
+    if u.hub.log.is_empty() && u.devices.iter().all(|d| d.log.is_empty()) {
+        u.hub.seen.clear();
+        for d in &mut u.devices {
+            d.seen.clear();
+        }
+    }
+    u.settled = outcome.converged && outcome.errors == 0;
     let mut seen: HashSet<String> = HashSet::new();
     for p in u.pending.drain(..) {
         let registry = registry_path(&u.owner, &u.component, &p);
@@ -364,6 +411,7 @@ pub fn write_through(gupster: &mut Gupster, report: &PlaneReport) -> Vec<ChangeE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gupster_sync::LogEntry;
     use gupster_xml::parse;
 
     fn keys() -> MergeKeys {
@@ -483,6 +531,110 @@ mod tests {
         assert_eq!(delta.shipped, naive.shipped);
         assert!(delta.compared <= naive.compared);
         assert!(delta.bytes_exchanged <= naive.bytes_exchanged);
+    }
+
+    /// Everything a pass may touch in a star: documents, retained log
+    /// entries, and per replica its log head, clock and dedup-set size,
+    /// plus every anchor between hub and devices.
+    fn star_state(u: &UserReplicas) -> (Vec<Element>, Vec<Vec<LogEntry>>, Vec<u64>) {
+        let replicas: Vec<&Replica> = std::iter::once(&u.hub).chain(&u.devices).collect();
+        let docs = replicas.iter().map(|r| r.doc.clone()).collect();
+        let logs = replicas.iter().map(|r| r.log.since(0).to_vec()).collect();
+        let mut marks: Vec<u64> = replicas
+            .iter()
+            .flat_map(|r| [r.log.head(), r.clock, r.seen.len() as u64])
+            .collect();
+        for d in &u.devices {
+            marks.push(u.hub.anchors.last_seen(&d.id));
+            marks.push(d.anchors.last_seen(&u.hub.id));
+        }
+        (docs, logs, marks)
+    }
+
+    #[test]
+    fn full_reconcile_of_a_settled_star_is_a_no_op() {
+        use gupster_rng::{Rng, SeedableRng, StdRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5E77);
+        for policy in [
+            ReconcilePolicy::PreferFirst,
+            ReconcilePolicy::PreferSecond,
+            ReconcilePolicy::LastWriterWins,
+            ReconcilePolicy::Manual,
+        ] {
+            let hub = Arc::new(TelemetryHub::new());
+            hub.set_span_limit(0);
+            let mut plane = plane(2, 6, 2);
+            plane.policy = policy;
+            let mut edited_settled = 0;
+            for round in 0..12 {
+                // A storm over two stars: conflicting renames, fresh
+                // and repeated inserts, deletes.
+                for _ in 0..6 {
+                    let owner = format!("user{}", rng.gen_range(0..2usize));
+                    let id = rng.gen_range(0..4usize).to_string();
+                    let op = match rng.gen_range(0..4u32) {
+                        0 => insert_item(&id),
+                        1 => EditOp::Delete { path: NodePath::root().keyed("item", "id", &id) },
+                        _ => set_name(&format!("r{round}")),
+                    };
+                    let _ = match rng.gen_range(0..3usize) {
+                        2 => plane.edit_hub(&owner, op),
+                        d => plane.edit_device(&owner, d, op),
+                    };
+                }
+                plane.reconcile(&hub);
+                let settled: Vec<String> =
+                    plane.users.values().filter(|u| u.settled).map(|u| u.owner.clone()).collect();
+                assert!(settled.len() >= 4, "the four untouched stars settle");
+                edited_settled += settled.len() - 4;
+                let before: Vec<_> = settled.iter().map(|o| star_state(&plane.users[o])).collect();
+
+                // The pass the skip avoids, forced over every settled
+                // star: it ships and compacts nothing and leaves each
+                // star exactly as it was.
+                for u in plane.users.values_mut() {
+                    u.settled = false;
+                }
+                let full = plane.reconcile(&hub);
+                for (owner, before) in settled.iter().zip(&before) {
+                    let out = full.users.iter().find(|u| &u.owner == owner).expect("one per user");
+                    let ctx = format!("{policy:?} round {round} {owner}");
+                    assert_eq!((out.shipped, out.compacted, out.slow_syncs), (0, 0, 0), "{ctx}");
+                    assert!(out.converged && out.changed.is_empty(), "{ctx}");
+                    assert_eq!(&star_state(&plane.users[owner]), before, "{ctx}");
+                }
+                let skipped = plane.reconcile(&hub);
+                for out in skipped.users.iter().filter(|u| settled.contains(&u.owner)) {
+                    assert_eq!(out.sessions, 0, "{policy:?} round {round} {}", out.owner);
+                }
+            }
+            assert!(edited_settled > 0, "{policy:?}: no edited star ever settled");
+        }
+    }
+
+    #[test]
+    fn seen_sets_stay_flat_under_an_endless_edit_stream() {
+        let hub = Arc::new(TelemetryHub::new());
+        let mut plane = plane(2, 4, 2);
+        let seen = |plane: &SyncPlane| -> usize {
+            plane
+                .users
+                .values()
+                .map(|u| u.hub.seen.len() + u.devices.iter().map(|d| d.seen.len()).sum::<usize>())
+                .sum()
+        };
+        let mut peak = 0;
+        for round in 0..1_000 {
+            let owner = format!("user{}", round % 4);
+            plane.edit_device(&owner, round % 2, set_name(&format!("v{round}"))).unwrap();
+            plane.edit_hub(&owner, set_name(&format!("h{round}"))).unwrap();
+            assert_eq!(plane.reconcile(&hub).converged_users, 4, "round {round}");
+            peak = peak.max(seen(&plane));
+        }
+        // Without the bound every replica keeps every identity it
+        // incorporated: thousands of entries by now.
+        assert!(peak <= 12, "seen entries grew to {peak}");
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   fixed-size header plus a dictionary reference and its payload.
 //!   [`SyncReport::bytes_exchanged`] measures the saving against the
 //!   oracle's owned-path framing.
-//! * **Arena application** — accepted remote ops replay through
-//!   [`ArenaDoc`] ([`gupster_xml::apply_arena`]), append-range
-//!   structural sharing instead of owned-tree mutation; the owned
-//!   document is written back once per session.
+//! * **In-place application** — accepted remote ops apply straight to
+//!   the owned document ([`Replica::apply_remote`], the oracle's own
+//!   apply), so a one-op session touches one node instead of
+//!   converting the whole document to and from another representation.
 //!
 //! [`two_way_sync`](crate::two_way_sync) is retained untouched as the
 //! byte-identical differential oracle (`tests/sync_differential.rs`).
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
-use gupster_xml::{apply_arena, ArenaDoc, EditOp, NodePath, Step};
+use gupster_xml::{EditOp, NodePath, Step};
 
 use crate::changelog::{CompactStats, LogEntry};
 use crate::intern::PathId;
@@ -160,7 +160,7 @@ impl TryInsertLike for HashMap<PathId, u16> {
 }
 
 /// [`crate::two_way_sync`] on the delta fast path: indexed conflict
-/// detection, dictionary-encoded shipping, arena application.
+/// detection, dictionary-encoded shipping, in-place application.
 ///
 /// Semantics are identical to the oracle — same conflicts, same
 /// winners under every [`ReconcilePolicy`], same queued pairs, same
@@ -237,55 +237,32 @@ pub fn delta_two_way_sync(
         }
 
         // Ship surviving ops as dictionary-encoded delta batches and
-        // apply them through the arena; the owned doc is written back
-        // once per direction.
+        // apply them in place; losing halves are marked seen so they
+        // are never re-shipped.
         let mut codec = DeltaCodec::default();
         let mut diverged = false;
-        if b_new.iter().enumerate().any(|(j, _)| !b_drop[j]) {
-            let mut arena = ArenaDoc::from_element(&a.doc);
-            for (j, eb) in b_new.iter().enumerate() {
-                if b_drop[j] {
-                    a.mark_seen(eb.actor, eb.timestamp);
-                    continue;
-                }
-                report.bytes_exchanged += codec.encode(&eb.op);
-                if apply_arena(&eb.op, &mut arena).is_err() {
-                    diverged = true;
-                } else {
-                    a.record_remote(&eb.op, eb.actor, eb.timestamp);
-                    report.shipped_to_first += 1;
-                }
+        for (j, eb) in b_new.iter().enumerate() {
+            if b_drop[j] {
+                a.mark_seen(eb.actor, eb.timestamp);
+                continue;
             }
-            a.doc = arena.root_element();
-        } else {
-            for (j, eb) in b_new.iter().enumerate() {
-                debug_assert!(b_drop[j] || b_new.is_empty());
-                if b_drop[j] {
-                    a.mark_seen(eb.actor, eb.timestamp);
-                }
+            report.bytes_exchanged += codec.encode(&eb.op);
+            if a.apply_remote(&eb.op, eb.actor, eb.timestamp).is_err() {
+                diverged = true;
+            } else {
+                report.shipped_to_first += 1;
             }
         }
-        if a_new.iter().enumerate().any(|(i, _)| !a_drop[i]) {
-            let mut arena = ArenaDoc::from_element(&b.doc);
-            for (i, ea) in a_new.iter().enumerate() {
-                if a_drop[i] {
-                    b.mark_seen(ea.actor, ea.timestamp);
-                    continue;
-                }
-                report.bytes_exchanged += codec.encode(&ea.op);
-                if apply_arena(&ea.op, &mut arena).is_err() {
-                    diverged = true;
-                } else {
-                    b.record_remote(&ea.op, ea.actor, ea.timestamp);
-                    report.shipped_to_second += 1;
-                }
+        for (i, ea) in a_new.iter().enumerate() {
+            if a_drop[i] {
+                b.mark_seen(ea.actor, ea.timestamp);
+                continue;
             }
-            b.doc = arena.root_element();
-        } else {
-            for (i, ea) in a_new.iter().enumerate() {
-                if a_drop[i] {
-                    b.mark_seen(ea.actor, ea.timestamp);
-                }
+            report.bytes_exchanged += codec.encode(&ea.op);
+            if b.apply_remote(&ea.op, ea.actor, ea.timestamp).is_err() {
+                diverged = true;
+            } else {
+                report.shipped_to_second += 1;
             }
         }
 

@@ -24,7 +24,7 @@
 //!   compaction** ([`ChangeLog::compact`]), and **delta-encoded
 //!   sessions** ([`delta_two_way_sync`]) — a touched-path trie replaces
 //!   the pairwise conflict scan, dictionary encoding replaces
-//!   owned-path framing, and accepted ops replay through the arena.
+//!   owned-path framing, and accepted ops apply in place.
 //!   [`two_way_sync`] is retained as the byte-identical differential
 //!   oracle.
 

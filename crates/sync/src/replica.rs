@@ -32,9 +32,12 @@ pub struct Replica {
     pub clock: u64,
     /// Merge keys for the component (drive diff/merge identity).
     pub keys: MergeKeys,
-    /// Identities `(actor, timestamp)` of every edit incorporated here —
+    /// Identities `(actor, timestamp)` of the edits incorporated here —
     /// the dedup set that lets a hub **relay** edits between devices
-    /// without echoing them back to their originator.
+    /// without echoing them back to their originator. It only filters
+    /// log entries, so it may be cleared whenever no log it is checked
+    /// against holds an entry (a rebase does; so does the sync plane
+    /// once every log in a star is empty).
     pub seen: HashSet<(ActorId, u64)>,
 }
 
@@ -73,18 +76,10 @@ impl Replica {
         remote_ts: u64,
     ) -> Result<(), XmlError> {
         op.apply(&mut self.doc)?;
-        self.record_remote(op, actor, remote_ts);
-        Ok(())
-    }
-
-    /// The bookkeeping half of [`Replica::apply_remote`] — log, dedup
-    /// set and clock — for callers that applied the op to a different
-    /// document representation (the delta path applies through the
-    /// arena and writes the owned tree back once per session).
-    pub(crate) fn record_remote(&mut self, op: &EditOp, actor: ActorId, remote_ts: u64) {
         self.clock = self.clock.max(remote_ts) + 1;
         self.seen.insert((actor, remote_ts));
         self.log.append(op.clone(), actor, remote_ts);
+        Ok(())
     }
 
     /// Marks an op incorporated without applying it (the losing side of

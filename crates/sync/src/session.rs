@@ -1,10 +1,11 @@
 //! Two-way sync sessions.
 
+use std::cmp;
 use std::fmt;
 use std::sync::atomic::Ordering;
 
 use gupster_telemetry::{stage, SimTime, Tracer};
-use gupster_xml::{diff, merge, EditOp};
+use gupster_xml::{diff, merge, EditOp, Element, MergeKeys, Node};
 
 use crate::reconcile::ReconcilePolicy;
 use crate::replica::Replica;
@@ -298,23 +299,34 @@ pub(crate) fn ops_conflict(a: &EditOp, b: &EditOp, keys: &gupster_xml::MergeKeys
 
 /// Stable-sorts element children by (tag, identity key) at every level.
 /// Only applies to element-content nodes (mixed content keeps order).
-pub(crate) fn canonicalize(e: &mut gupster_xml::Element, keys: &gupster_xml::MergeKeys) {
-    use gupster_xml::Node;
+/// Children already in order are left alone, and the comparison
+/// allocates nothing, so a canonical document costs one scan.
+pub(crate) fn canonicalize(e: &mut Element, keys: &MergeKeys) {
     for ch in e.child_elements_mut() {
         canonicalize(ch, keys);
     }
-    let all_elements = e.children.iter().all(|c| matches!(c, Node::Element(_)));
-    if all_elements {
-        e.children.sort_by(|x, y| {
-            let key = |n: &Node| match n {
-                Node::Element(el) => {
-                    (el.name.clone(), keys.identity(el).map(|(_, k)| k).unwrap_or_default())
-                }
-                Node::Text(_) => unreachable!("all_elements checked"),
-            };
-            key(x).cmp(&key(y))
-        });
+    let order = |x: &Node, y: &Node| match (x, y) {
+        (Node::Element(x), Node::Element(y)) => canonical_order(x, y, keys),
+        _ => unreachable!("only element-content children are sorted"),
+    };
+    if e.children.iter().all(|c| matches!(c, Node::Element(_)))
+        && e.children.windows(2).any(|w| order(&w[0], &w[1]).is_gt())
+    {
+        e.children.sort_by(order);
     }
+}
+
+/// Orders siblings by tag, then by the bytes of their identity key
+/// `attr=value` (empty when no key applies) — the order of the
+/// `(name, key)` pairs [`MergeKeys::identity`] builds, without building
+/// them.
+fn canonical_order(x: &Element, y: &Element, keys: &MergeKeys) -> cmp::Ordering {
+    fn key_bytes<'a>(e: &'a Element, keys: &'a MergeKeys) -> impl Iterator<Item = u8> + 'a {
+        keys.identity_parts(e)
+            .into_iter()
+            .flat_map(|(attr, v)| attr.bytes().chain(std::iter::once(b'=')).chain(v.bytes()))
+    }
+    x.name.cmp(&y.name).then_with(|| key_bytes(x, keys).cmp(key_bytes(y, keys)))
 }
 
 pub(crate) fn op_bytes(op: &EditOp) -> usize {
@@ -537,6 +549,47 @@ mod tests {
         let mut a = Replica::new("x", book("<address-book/>"), keys());
         let mut b = Replica::new("y", book("<calendar/>"), keys());
         assert!(two_way_sync(&mut a, &mut b, ReconcilePolicy::LastWriterWins).is_err());
+    }
+
+    #[test]
+    fn canonical_order_matches_the_identity_key_order() {
+        // Ties, prefix keys ("id=1" < "id=10" < "id=2"), a key-less
+        // sibling (empty key), a `name=` default key and an attribute
+        // value containing '=' — all against the (name, key) pairs
+        // `MergeKeys::identity` builds.
+        let kids = [
+            Element::new("item").with_attr("id", "10"),
+            Element::new("item").with_attr("id", "1").with_text("first"),
+            Element::new("item"),
+            Element::new("item").with_attr("id", "2"),
+            Element::new("itemx").with_attr("name", "b"),
+            Element::new("item").with_attr("id", "1").with_text("second"),
+            Element::new("a").with_attr("name", "z=1"),
+            Element::new("a").with_attr("name", "z"),
+            Element::new("a").with_attr("type", "t"),
+            Element::new("a"),
+        ];
+        let keys = keys();
+        for shift in 0..kids.len() {
+            for reverse in [false, true] {
+                let mut order: Vec<Element> = kids.to_vec();
+                order.rotate_left(shift);
+                if reverse {
+                    order.reverse();
+                }
+                let mut want = order.clone();
+                want.sort_by_key(|e| {
+                    (e.name.clone(), keys.identity(e).map(|(_, k)| k).unwrap_or_default())
+                });
+                let mut doc = Element::new("address-book");
+                for e in order {
+                    doc.push_child(e);
+                }
+                canonicalize(&mut doc, &keys);
+                let got: Vec<Element> = doc.child_elements().cloned().collect();
+                assert_eq!(got, want, "shift {shift} reverse {reverse}");
+            }
+        }
     }
 
     #[test]

@@ -445,124 +445,6 @@ impl ArenaDoc {
     }
 }
 
-/// In-place edits. The sync delta path applies accepted remote ops
-/// through the arena instead of the owned tree ([`crate::apply_arena`]).
-///
-/// Edits are **append-range**: a mutated element gets a fresh attribute
-/// or child range appended to the flat tables and its header repointed,
-/// while every untouched node keeps its rows — the same structural-
-/// sharing discipline as [`crate::MergeOut`]. Superseded rows become
-/// arena garbage; a long-lived document under heavy editing should be
-/// rebuilt occasionally (e.g. at a sync rebase) via
-/// [`ArenaDoc::from_element`]`(&doc.root_element())`.
-impl ArenaDoc {
-    /// Converts `e` into arena rows, returning the fresh subtree's root
-    /// id. The subtree is unattached until a [`ArenaDoc::push_child`].
-    pub fn graft_element(&mut self, e: &Element) -> NodeId {
-        let mut scratch: Vec<AKid> = Vec::new();
-        self.add_element(e, &mut scratch)
-    }
-
-    fn rewrite_kids(&mut self, id: NodeId, new: Vec<AKid>) {
-        let start = self.kids.len() as u32;
-        self.kids.extend(new);
-        let end = self.kids.len() as u32;
-        let e = &mut self.elems[id.0 as usize];
-        e.kid_start = start;
-        e.kid_end = end;
-    }
-
-    /// Replaces all text children of `id` with a single text node at
-    /// the end of the child list — exactly [`Element::set_text`].
-    pub fn set_text(&mut self, id: NodeId, text: &str) {
-        let e = self.elems[id.0 as usize];
-        let mut kids: Vec<AKid> = self.kids[e.kid_start as usize..e.kid_end as usize]
-            .iter()
-            .filter(|k| matches!(k, AKid::Elem(_)))
-            .copied()
-            .collect();
-        let ti = self.texts.len() as u32;
-        self.texts.push(AVal::Owned(text.to_string()));
-        kids.push(AKid::Text(ti));
-        self.rewrite_kids(id, kids);
-    }
-
-    /// Sets an attribute on `id`, replacing any existing value for the
-    /// same name (in place, keeping its position) or appending —
-    /// exactly [`Element::set_attr`].
-    pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
-        let nid = NameInterner::intern(name);
-        let e = self.elems[id.0 as usize];
-        for slot in e.attr_start as usize..e.attr_end as usize {
-            if self.attrs[slot].0 == nid {
-                self.attrs[slot].1 = AVal::Owned(value.to_string());
-                return;
-            }
-        }
-        let start = self.attrs.len() as u32;
-        for slot in e.attr_start as usize..e.attr_end as usize {
-            let copied = self.attrs[slot].clone();
-            self.attrs.push(copied);
-        }
-        self.attrs.push((nid, AVal::Owned(value.to_string())));
-        let end = self.attrs.len() as u32;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.attr_start = start;
-        slot.attr_end = end;
-    }
-
-    /// Removes the named attribute from `id`, preserving the order of
-    /// the rest. Returns whether it was present.
-    pub fn remove_attr(&mut self, id: NodeId, name: &str) -> bool {
-        let Some(nid) = NameInterner::lookup(name) else { return false };
-        let e = self.elems[id.0 as usize];
-        let range = e.attr_start as usize..e.attr_end as usize;
-        if !self.attrs[range.clone()].iter().any(|(n, _)| *n == nid) {
-            return false;
-        }
-        let start = self.attrs.len() as u32;
-        for slot in range {
-            if self.attrs[slot].0 != nid {
-                let copied = self.attrs[slot].clone();
-                self.attrs.push(copied);
-            }
-        }
-        let end = self.attrs.len() as u32;
-        let slot = &mut self.elems[id.0 as usize];
-        slot.attr_start = start;
-        slot.attr_end = end;
-        true
-    }
-
-    /// Appends `child` (a node of this document, typically fresh from
-    /// [`ArenaDoc::graft_element`]) to `parent`'s child list.
-    pub fn push_child(&mut self, parent: NodeId, child: NodeId) {
-        let e = self.elems[parent.0 as usize];
-        let mut kids: Vec<AKid> =
-            self.kids[e.kid_start as usize..e.kid_end as usize].to_vec();
-        kids.push(AKid::Elem(child));
-        self.rewrite_kids(parent, kids);
-    }
-
-    /// Removes element `child` from `parent`'s child list, preserving
-    /// the order of the rest. Returns whether it was present. The
-    /// removed subtree's rows become arena garbage.
-    pub fn remove_child(&mut self, parent: NodeId, child: NodeId) -> bool {
-        let e = self.elems[parent.0 as usize];
-        let range = e.kid_start as usize..e.kid_end as usize;
-        if !self.kids[range.clone()].iter().any(|k| matches!(k, AKid::Elem(c) if *c == child)) {
-            return false;
-        }
-        let kids: Vec<AKid> = self.kids[range]
-            .iter()
-            .filter(|k| !matches!(k, AKid::Elem(c) if *c == child))
-            .copied()
-            .collect();
-        self.rewrite_kids(parent, kids);
-        true
-    }
-}
-
 /// In-progress text run during content parsing. Tracks whether the run
 /// is still a single contiguous raw segment (→ [`AVal::Slice`]) or has
 /// been forced owned by an entity, CDATA section, or an interrupting

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 mod arena;
-mod arena_apply;
 mod arena_merge;
 mod error;
 mod escape;
@@ -43,7 +42,6 @@ mod tree_diff;
 mod writer;
 
 pub use arena::{ArenaChild, ArenaDoc, NodeId};
-pub use arena_apply::{apply_arena, resolve_arena};
 pub use arena_merge::{merge_arena, merge_arena_all, MergeOut, MergeStats};
 pub use error::{ParseError, XmlError};
 pub use intern::{NameId, NameInterner};

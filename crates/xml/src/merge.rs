@@ -60,13 +60,20 @@ impl MergeKeys {
     /// when a key attribute applies and is present. Two siblings with
     /// equal identity denote the same logical node.
     pub fn identity(&self, e: &Element) -> Option<(String, String)> {
+        self.identity_parts(e).map(|(attr, v)| (e.name.clone(), format!("{attr}={v}")))
+    }
+
+    /// The borrowed parts of [`MergeKeys::identity`]: the key attribute
+    /// and its value, when a key applies and is present. Nothing is
+    /// allocated, so hot comparisons can use it per call.
+    pub fn identity_parts<'a>(&'a self, e: &'a Element) -> Option<(&'a str, &'a str)> {
         if let Some(attr) = self.keys.get(&e.name) {
-            return e.attr(attr).map(|v| (e.name.clone(), format!("{attr}={v}")));
+            return e.attr(attr).map(|v| (attr.as_str(), v));
         }
         if self.use_default_keys {
             for attr in ["id", "name", "type"] {
                 if let Some(v) = e.attr(attr) {
-                    return Some((e.name.clone(), format!("{attr}={v}")));
+                    return Some((attr, v));
                 }
             }
         }

@@ -458,3 +458,103 @@ fn chaos_storm_rounds_stay_converged_with_bounded_logs() {
         assert!(total_compacted > 0, "the delta plane must have compacted real entries");
     });
 }
+
+/// Multi-round plane differential over a mostly idle fleet: each round
+/// edits a few stars, so the plane skips every settled star. After
+/// every round, under every policy, the delta plane's hub and device
+/// documents must equal the oracle plane's; each untouched star that
+/// settled must be reported skipped (`sessions == 0`, converged, nothing
+/// changed); and a star left unconverged (a manual conflict awaiting
+/// the user) must be reconciled again the next round, edited or not.
+#[test]
+fn idle_stars_are_skipped_and_planes_match_the_oracle_every_round() {
+    const USERS: usize = 12;
+    const DEVICES: usize = 2;
+    const ROUNDS: usize = 10;
+    // Outcomes left unconverged, per policy, over every case.
+    let mut unconverged = [0usize; POLICIES.len()];
+    cases(4, 0x1D1E, |r| {
+        for (p, policy) in POLICIES.into_iter().enumerate() {
+            let hub = Arc::new(TelemetryHub::new());
+            hub.set_span_limit(0);
+            let mut delta_plane = SyncPlane::new(2, policy);
+            let mut oracle_plane = SyncPlane::new(2, policy);
+            oracle_plane.use_oracle = true;
+            for u in 0..USERS {
+                delta_plane.add_user(&format!("user{u:02}"), base_book(), keys(), DEVICES);
+                oracle_plane.add_user(&format!("user{u:02}"), base_book(), keys(), DEVICES);
+            }
+            let mut serial = 0usize;
+            // Stars needing a pass this round: every star at first (no
+            // pass has settled it yet), then the edited and the
+            // unconverged ones.
+            let mut due = [true; USERS];
+            let mut skipped = 0usize;
+            for round in 0..ROUNDS {
+                let active: Vec<usize> = (0..3).map(|_| r.gen_range(0..USERS)).collect();
+                for _ in 0..12 {
+                    let u = active[r.gen_range(0..active.len())];
+                    let owner = format!("user{u:02}");
+                    let replica = r.gen_range(0..=DEVICES);
+                    let op = rand_op(r, serial);
+                    serial += 1;
+                    let (d, o) = if replica == DEVICES {
+                        (
+                            delta_plane.edit_hub(&owner, op.clone()),
+                            oracle_plane.edit_hub(&owner, op),
+                        )
+                    } else {
+                        (
+                            delta_plane.edit_device(&owner, replica, op.clone()),
+                            oracle_plane.edit_device(&owner, replica, op),
+                        )
+                    };
+                    assert_eq!(d.is_ok(), o.is_ok(), "round {round}: local edits disagree");
+                    due[u] |= d.is_ok();
+                }
+                let rd = delta_plane.reconcile(&hub);
+                let ro = oracle_plane.reconcile(&hub);
+                assert_eq!(rd.users.len(), USERS, "round {round}: one outcome per user");
+                assert_eq!(ro.users.len(), USERS);
+                for (u, (od, oo)) in rd.users.iter().zip(&ro.users).enumerate() {
+                    let owner = format!("user{u:02}");
+                    let ctx = format!("{policy:?} round {round} {owner}");
+                    assert_eq!(od.owner, owner, "{ctx}: outcomes sorted by owner");
+                    assert_eq!(od.converged, oo.converged, "{ctx}");
+                    assert_eq!(od.sessions, oo.sessions, "{ctx}");
+                    assert_eq!(od.changed, oo.changed, "{ctx}");
+                    if due[u] {
+                        assert_eq!(od.sessions, 2 * DEVICES, "{ctx}: a due star must run");
+                    } else {
+                        assert_eq!(od.sessions, 0, "{ctx}: a settled star must be skipped");
+                        assert!(od.converged && od.changed.is_empty(), "{ctx}");
+                    }
+                    assert_eq!(
+                        delta_plane.hub_doc(&owner),
+                        oracle_plane.hub_doc(&owner),
+                        "{ctx}: hub diverged from the oracle"
+                    );
+                    for d in 0..DEVICES {
+                        assert_eq!(
+                            delta_plane.device_doc(&owner, d),
+                            oracle_plane.device_doc(&owner, d),
+                            "{ctx}: dev{d} diverged from the oracle"
+                        );
+                    }
+                    skipped += (od.sessions == 0) as usize;
+                    unconverged[p] += !od.converged as usize;
+                    due[u] = !od.converged || od.errors > 0;
+                }
+            }
+            assert!(skipped > 0, "{policy:?}: no settled star was ever skipped");
+        }
+    });
+    // The re-reconcile rule above only bites if some pass leaves a star
+    // unconverged: a manual conflict still queued for the user, or
+    // device-priority sessions that disagree across the star.
+    for (policy, n) in POLICIES.iter().zip(unconverged) {
+        if matches!(policy, ReconcilePolicy::Manual | ReconcilePolicy::PreferSecond) {
+            assert!(n > 0, "{policy:?}: the storms never left a star unconverged");
+        }
+    }
+}
